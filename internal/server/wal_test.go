@@ -116,11 +116,15 @@ func TestWALCheckpointFoldsAndTruncates(t *testing.T) {
 	if _, err := os.Stat(CheckpointPath(dir)); err != nil {
 		t.Fatalf("checkpoint file: %v", err)
 	}
+	// A later volume checkpoint may still be in flight. The file and
+	// ckptLSN change together under ckptMu, so read them as a pair.
+	s1.ckptMu.Lock()
 	ckLSN := s1.ckptLSN.Load()
+	m, _, lsn, err := snapshot.LoadCheckpointFile(CheckpointPath(dir))
+	s1.ckptMu.Unlock()
 	if ckLSN == 0 {
 		t.Fatal("checkpoint LSN not recorded")
 	}
-	m, _, lsn, err := snapshot.LoadCheckpointFile(CheckpointPath(dir))
 	if err != nil {
 		t.Fatalf("LoadCheckpointFile: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -59,6 +58,11 @@ type Sharded struct {
 	// SetCompactFraction.
 	compactFraction float64
 
+	// compactMu guards every shard's compactDone. Lock order:
+	// compactMu before any shard mu; nothing takes compactMu while
+	// holding a shard lock.
+	compactMu sync.Mutex
+
 	// mu guards locs and every shard's nextLocal. Lock order:
 	// coordinator mu strictly before any shard mu; writers hand off
 	// (acquire the shard lock before releasing mu) so shard-local
@@ -102,8 +106,11 @@ type vshard struct {
 	epoch       uint64
 	compactions uint64
 
-	// compacting is the single-flight guard for background rebuilds.
-	compacting atomic.Bool
+	// compactDone is non-nil while a rebuild of this shard runs
+	// (background or explicit) and is closed when it ends: the
+	// single-flight guard and the handle WaitCompactions and Compact
+	// wait on. Guarded by Sharded.compactMu.
+	compactDone chan struct{}
 }
 
 // shardOf routes a global row ID to a shard: a splitmix64-style
@@ -460,97 +467,196 @@ func (sh *Sharded) Delete(id int) error {
 	if err == nil {
 		vs.writes++
 	}
-	frac := vs.store.DeadFraction()
-	rows := vs.store.Len()
+	due := err == nil && sh.overThreshold(vs.store)
 	vs.mu.Unlock()
-	if err == nil && sh.compactFraction > 0 && frac >= sh.compactFraction && rows >= 8 {
-		sh.compactShard(int(loc.shard))
+	if due {
+		sh.compactShard(vs)
 	}
 	return err
 }
 
-// compactShard rebuilds one shard over its live rows in the
-// background: gather under the read lock, build with no locks held,
-// swap under coordinator + shard write locks. A write racing the
-// rebuild makes it stale — the loop re-gathers rather than lose the
-// write — and after the single-flight flag clears, the threshold is
-// checked once more to close the window where a concurrent delete's
-// trigger lost the CAS to this (now finished) run. Other shards serve
-// reads and writes throughout.
-func (sh *Sharded) compactShard(sid int) {
-	vs := sh.shards[sid]
-	if !vs.compacting.CompareAndSwap(false, true) {
+// overThreshold reports whether a shard store is due for
+// self-compaction (see SetCompactFraction).
+func (sh *Sharded) overThreshold(st *Store) bool {
+	return sh.compactFraction > 0 && st.DeadFraction() >= sh.compactFraction && st.Len() >= 8
+}
+
+// tryClaimCompaction takes shard vs's single-flight rebuild slot and
+// reports whether it did; it never blocks. The blocking half is
+// claimCompaction, so tests and Compact can order rebuilds without
+// timing.
+func (sh *Sharded) tryClaimCompaction(vs *vshard) (claimed bool, running chan struct{}) {
+	sh.compactMu.Lock()
+	defer sh.compactMu.Unlock()
+	if vs.compactDone != nil {
+		return false, vs.compactDone
+	}
+	vs.compactDone = make(chan struct{})
+	return true, nil
+}
+
+// claimCompaction takes shard vs's rebuild slot, waiting out a
+// rebuild already running.
+func (sh *Sharded) claimCompaction(vs *vshard) {
+	for {
+		claimed, running := sh.tryClaimCompaction(vs)
+		if claimed {
+			return
+		}
+		<-running
+	}
+}
+
+// compactShard starts a background rebuild of shard vs unless one is
+// already running (that run re-checks the threshold before it ends,
+// so this delete's trigger is not lost).
+func (sh *Sharded) compactShard(vs *vshard) {
+	if claimed, _ := sh.tryClaimCompaction(vs); !claimed {
 		return
 	}
 	go func() {
-		failed := false
-		for {
-			vs.mu.RLock()
-			if !(vs.store.DeadFraction() >= sh.compactFraction && vs.store.Len() >= 8) {
-				vs.mu.RUnlock()
-				break
-			}
-			writes0 := vs.writes
-			liveLocals := vs.store.LiveIDs()
-			newStore := vs.store.Gather(liveLocals)
-			newGlobals := make([]int32, len(liveLocals))
-			for i, l := range liveLocals {
-				newGlobals[i] = vs.globals[l]
-			}
-			deadGlobals := make([]int32, 0, vs.store.Dead())
-			for l, g := range vs.globals {
-				if vs.store.Deleted(l) {
-					deadGlobals = append(deadGlobals, g)
-				}
-			}
-			vs.mu.RUnlock()
+		// An error (e.g. IVF over a now-empty shard) ends the run; the
+		// next threshold-crossing delete tries again.
+		_ = sh.rebuildShard(vs, false)
+	}()
+}
 
-			idx, err := OpenMutable(newStore, sh.perShard)
-			if err != nil {
-				// e.g. IVF over a now-empty shard; wait for the next
-				// threshold-crossing delete instead of spinning.
-				failed = true
-				break
-			}
+// rebuildShard rebuilds shard vs over its live rows while it is over
+// the self-compaction threshold, then releases the rebuild slot the
+// caller claimed. With explicit set, the first rebuild runs if the
+// shard holds any tombstone at all. Deletes that land during a
+// rebuild can push the shard past the threshold again, hence the
+// loop. Other shards serve reads and writes throughout.
+func (sh *Sharded) rebuildShard(vs *vshard, explicit bool) error {
+	for sh.releaseUnlessDue(vs, explicit) {
+		if err := sh.rebuildOnce(vs); err != nil {
+			sh.releaseCompaction(vs)
+			return err
+		}
+		explicit = false
+	}
+	return nil
+}
 
-			sh.mu.Lock()
-			vs.mu.Lock()
-			if vs.writes != writes0 {
-				// A racing insert/delete made the rebuild stale; throw
-				// it away and re-gather.
-				vs.mu.Unlock()
-				sh.mu.Unlock()
-				continue
+// releaseUnlessDue reports whether shard vs needs a rebuild (over the
+// threshold, or with explicit set any tombstone) and, if not,
+// releases its rebuild slot. The check and the release are one
+// critical section under compactMu, and a threshold-crossing Delete
+// claims the slot only after its tombstone is applied, so either the
+// check sees that tombstone or the Delete's claim succeeds: no
+// trigger is lost to a rebuild that is just ending.
+func (sh *Sharded) releaseUnlessDue(vs *vshard, explicit bool) bool {
+	sh.compactMu.Lock()
+	defer sh.compactMu.Unlock()
+	vs.mu.RLock()
+	due := sh.overThreshold(vs.store) || explicit && vs.store.Dead() > 0
+	vs.mu.RUnlock()
+	if !due {
+		close(vs.compactDone)
+		vs.compactDone = nil
+	}
+	return due
+}
+
+// releaseCompaction releases shard vs's rebuild slot unconditionally.
+func (sh *Sharded) releaseCompaction(vs *vshard) {
+	sh.compactMu.Lock()
+	close(vs.compactDone)
+	vs.compactDone = nil
+	sh.compactMu.Unlock()
+}
+
+// rebuildOnce rebuilds shard vs over its live rows and swaps the
+// result in: gather under the shard's read lock, build with no lock
+// held, swap under the coordinator and shard write locks. A write
+// racing the build makes it stale; it is thrown away and the shard
+// re-gathered rather than lose the write. The caller holds the
+// shard's rebuild slot.
+func (sh *Sharded) rebuildOnce(vs *vshard) error {
+	for {
+		vs.mu.RLock()
+		writes0 := vs.writes
+		liveLocals := vs.store.LiveIDs()
+		newStore := vs.store.Gather(liveLocals)
+		newGlobals := make([]int32, len(liveLocals))
+		for i, l := range liveLocals {
+			newGlobals[i] = vs.globals[l]
+		}
+		deadGlobals := make([]int32, 0, vs.store.Dead())
+		for l, g := range vs.globals {
+			if vs.store.Deleted(l) {
+				deadGlobals = append(deadGlobals, g)
 			}
-			vs.store = newStore
-			vs.idx = idx
-			vs.globals = newGlobals
-			vs.nextLocal = newStore.Len()
-			vs.epoch++
-			vs.compactions++
-			for newLocal, g := range newGlobals {
-				sh.locs[g].local = int32(newLocal)
-			}
-			for _, g := range deadGlobals {
-				sh.locs[g].local = -1
-			}
+		}
+		vs.mu.RUnlock()
+
+		idx, err := OpenMutable(newStore, sh.perShard)
+		if err != nil {
+			return err
+		}
+
+		sh.mu.Lock()
+		vs.mu.Lock()
+		if vs.writes != writes0 {
 			vs.mu.Unlock()
 			sh.mu.Unlock()
-			break
+			continue
 		}
-		vs.compacting.Store(false)
-		if failed {
+		vs.store = newStore
+		vs.idx = idx
+		vs.globals = newGlobals
+		vs.nextLocal = newStore.Len()
+		vs.epoch++
+		vs.compactions++
+		for newLocal, g := range newGlobals {
+			sh.locs[g].local = int32(newLocal)
+		}
+		for _, g := range deadGlobals {
+			sh.locs[g].local = -1
+		}
+		vs.mu.Unlock()
+		sh.mu.Unlock()
+		return nil
+	}
+}
+
+// WaitCompactions blocks until no shard rebuild is running. With no
+// concurrent writes, every shard is then below the self-compaction
+// threshold (or its last rebuild failed): a rebuild re-checks the
+// threshold before it ends.
+func (sh *Sharded) WaitCompactions() {
+	for {
+		var running chan struct{}
+		sh.compactMu.Lock()
+		for _, vs := range sh.shards {
+			if vs.compactDone != nil {
+				running = vs.compactDone
+				break
+			}
+		}
+		sh.compactMu.Unlock()
+		if running == nil {
 			return
 		}
-		// A delete may have crossed the threshold while this run was
-		// finishing and lost its CAS; retrigger on its behalf.
-		vs.mu.RLock()
-		again := vs.store.DeadFraction() >= sh.compactFraction && vs.store.Len() >= 8
-		vs.mu.RUnlock()
-		if again {
-			sh.compactShard(sid)
+		<-running
+	}
+}
+
+// Compact is an explicit compaction pass: shard by shard, it waits
+// for a running background rebuild, then rebuilds the shard over its
+// live rows if it holds any tombstone, whatever the self-compaction
+// threshold. With no concurrent writes every tombstone is reclaimed
+// when it returns (compacted rows report Deleted; global IDs are
+// unchanged). It returns the first rebuild error, e.g. an IVF shard
+// with no live rows.
+func (sh *Sharded) Compact() error {
+	for sid, vs := range sh.shards {
+		sh.claimCompaction(vs)
+		if err := sh.rebuildShard(vs, true); err != nil {
+			return fmt.Errorf("vecstore: compacting shard %d/%d: %w", sid, len(sh.shards), err)
 		}
-	}()
+	}
+	return nil
 }
 
 // SpanRecorder receives named stage durations from a scatter-gather

@@ -39,6 +39,38 @@ func BenchmarkTrainCBOWNegSampling(b *testing.B) {
 	benchTrain(b, cfg)
 }
 
+// BenchmarkTrainPipelineShape trains at the shape of the paper
+// pipeline benchmark (bench/pipeline.go): the 10 x 100 community graph
+// at alpha 0.5, 5 walks of length 100 per vertex, CBOW with negative
+// sampling at dim 100 for 3 epochs on every CPU. Sub-benchmarks run
+// the f32 kernels ("dispatch") and the scalar reference loops.
+func BenchmarkTrainPipelineShape(b *testing.B) {
+	g, _ := graph.CommunityBenchmark(graph.DefaultCommunityBenchmark(0.5, 1))
+	gen, err := walk.NewGenerator(g, walk.Config{WalksPerVertex: 5, Length: 100, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus := gen.Generate()
+	for _, scalar := range []bool{false, true} {
+		name := "dispatch"
+		if scalar {
+			name = "scalar"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := DefaultConfig(100)
+			cfg.Epochs = 3
+			cfg.Seed = 1
+			cfg.scalarKernels = scalar
+			b.SetBytes(int64(corpus.NumTokens()))
+			for b.Loop() {
+				if _, _, err := Train(corpus, g.NumVertices(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTrainCBOWHierSoftmax swaps the output layer.
 func BenchmarkTrainCBOWHierSoftmax(b *testing.B) {
 	cfg := DefaultConfig(50)

@@ -4,6 +4,7 @@ import (
 	"iter"
 	"testing"
 
+	"v2v/internal/graph"
 	"v2v/internal/walk"
 )
 
@@ -30,9 +31,16 @@ func (s streamFromTestCorpus) WalkSeq(lo, hi int) iter.Seq[[]int32] {
 }
 
 // TestTrainStreamingMatchesTrain: with Workers = 1 the streaming entry
-// point must produce exactly the vectors of the materialized one.
+// point must produce exactly the vectors of the materialized one, on
+// either kernel path.
 func TestTrainStreamingMatchesTrain(t *testing.T) {
 	corpus, g, _ := benchCorpus(t, 0.6, 3, 12)
+	forEachKernelPath(t, func(t *testing.T, scalar bool) {
+		testTrainStreamingMatchesTrain(t, corpus, g, scalar)
+	})
+}
+
+func testTrainStreamingMatchesTrain(t *testing.T, corpus *walk.Corpus, g *graph.Graph, scalar bool) {
 	for _, sampler := range []Sampler{NegativeSampling, HierarchicalSoftmax} {
 		for _, obj := range []Objective{CBOW, SkipGram} {
 			cfg := DefaultConfig(12)
@@ -42,6 +50,7 @@ func TestTrainStreamingMatchesTrain(t *testing.T) {
 			cfg.Workers = 1
 			cfg.Seed = 21
 			cfg.Subsample = 1e-2
+			cfg.scalarKernels = scalar
 
 			want, wantStats, err := Train(corpus, g.NumVertices(), cfg)
 			if err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"v2v/internal/f32"
 	"v2v/internal/vecstore"
 	"v2v/internal/xrand"
 )
@@ -310,10 +311,7 @@ func (tr *trainer) cbowUpdate(sen []int32, pos, w, lo, hi int, alpha float32, rn
 			continue
 		}
 		c := int(sen[p])
-		v := tr.syn0[c*dim : c*dim+dim]
-		for i := range neu1 {
-			neu1[i] += v[i]
-		}
+		tr.add(neu1, tr.syn0[c*dim:c*dim+dim])
 		cw++
 	}
 	if cw == 0 {
@@ -331,10 +329,7 @@ func (tr *trainer) cbowUpdate(sen []int32, pos, w, lo, hi int, alpha float32, rn
 			continue
 		}
 		c := int(sen[p])
-		v := tr.syn0[c*dim : c*dim+dim]
-		for i := range v {
-			v[i] += neu1e[i]
-		}
+		tr.add(tr.syn0[c*dim:c*dim+dim], neu1e)
 	}
 	return loss
 }
@@ -354,9 +349,7 @@ func (tr *trainer) skipGramUpdate(sen []int32, pos, w, lo, hi int, alpha float32
 			neu1e[i] = 0
 		}
 		loss += tr.outputUpdate(w, h, neu1e, alpha, rng)
-		for i := range h {
-			h[i] += neu1e[i]
-		}
+		tr.add(h, neu1e)
 	}
 	return loss
 }
@@ -382,16 +375,10 @@ func (tr *trainer) outputUpdate(w int, h, neu1e []float32, alpha float32, rng *x
 				label = 0
 			}
 			out := tr.syn1[target*dim : target*dim+dim]
-			var f float32
-			for i := range h {
-				f += h[i] * out[i]
-			}
+			f := tr.dot(h, out)
 			s := sigmoid(f)
 			g := (label - s) * alpha
-			for i := range h {
-				neu1e[i] += g * out[i]
-				out[i] += g * h[i]
-			}
+			tr.update(neu1e, out, h, g)
 			if label == 1 {
 				loss += -logSigmoid(float64(f))
 			} else {
@@ -404,16 +391,10 @@ func (tr *trainer) outputUpdate(w int, h, neu1e []float32, alpha float32, rng *x
 		for d := range codes {
 			node := points[d]
 			out := tr.syn1[node*dim : node*dim+dim]
-			var f float32
-			for i := range h {
-				f += h[i] * out[i]
-			}
+			f := tr.dot(h, out)
 			s := sigmoid(f)
 			g := (1 - float32(codes[d]) - s) * alpha
-			for i := range h {
-				neu1e[i] += g * out[i]
-				out[i] += g * h[i]
-			}
+			tr.update(neu1e, out, h, g)
 			// P(code=0) = sigma(f): loss is -log of the branch prob.
 			if codes[d] == 0 {
 				loss += -logSigmoid(float64(f))
@@ -423,6 +404,34 @@ func (tr *trainer) outputUpdate(w int, h, neu1e []float32, alpha float32, rng *x
 		}
 	}
 	return loss
+}
+
+// dot, add and update are the per-element loops of the update steps,
+// run on the f32 kernels (AVX2/FMA assembly where the CPU has it);
+// Config.scalarKernels pins them to the scalar references.
+func (tr *trainer) dot(a, b []float32) float32 {
+	if tr.cfg.scalarKernels {
+		return f32.DotScalar(a, b)
+	}
+	return f32.Dot(a, b)
+}
+
+func (tr *trainer) add(dst, src []float32) {
+	if tr.cfg.scalarKernels {
+		f32.AddScalar(dst, src)
+		return
+	}
+	f32.Add(dst, src)
+}
+
+// update applies acc += g·out; out += g·h, reading out before it is
+// written.
+func (tr *trainer) update(acc, out, h []float32, g float32) {
+	if tr.cfg.scalarKernels {
+		f32.UpdateScalar(acc, out, h, g)
+		return
+	}
+	f32.Update(acc, out, h, g)
 }
 
 // aliasSampler draws vertices from the counts^power distribution in

@@ -125,6 +125,11 @@ type Config struct {
 
 	Workers int    // 0 = GOMAXPROCS
 	Seed    uint64 //
+
+	// scalarKernels pins the update loops to the portable scalar
+	// kernels even where the assembly ones run. It is a test hook, so
+	// tests can train on both kernel paths in one build.
+	scalarKernels bool
 }
 
 // DefaultConfig returns sensible defaults matching the paper (CBOW,
@@ -214,8 +219,10 @@ func sigmoid(x float32) float32 {
 	return expTable[int((x+maxExp)*(expTableSize/(2*maxExp)))]
 }
 
-// logSigmoid returns log(sigmoid(x)) computed exactly (used only for
-// loss reporting, not in the hot update path).
+// logSigmoid returns log(sigmoid(x)) computed exactly. It runs once
+// per output-row update to account the sample loss, so it is a
+// visible share of training CPU; it stays exact because the epoch
+// losses drive convergence stopping (Config.ConvergenceTol).
 func logSigmoid(x float64) float64 {
 	// Stable: log σ(x) = -log(1+e^{-x}) = min(x,0) - log1p(e^{-|x|})
 	if x < 0 {

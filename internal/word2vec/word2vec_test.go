@@ -104,21 +104,38 @@ func TestEmbeddingSeparatesCommunities(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(24)
-			cfg.Objective = tc.obj
-			cfg.Sampler = tc.smp
-			cfg.Epochs = 5
-			cfg.Seed = 42
-			m, _, err := Train(corpus, g.NumVertices(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			intra, inter := avgSimilarities(m, truth)
-			t.Logf("%s: intra=%.3f inter=%.3f", tc.name, intra, inter)
-			if intra <= inter+0.1 {
-				t.Fatalf("communities not separated: intra %.3f vs inter %.3f", intra, inter)
-			}
+			forEachKernelPath(t, func(t *testing.T, scalar bool) {
+				cfg := DefaultConfig(24)
+				cfg.Objective = tc.obj
+				cfg.Sampler = tc.smp
+				cfg.Epochs = 5
+				cfg.Seed = 42
+				cfg.scalarKernels = scalar
+				m, _, err := Train(corpus, g.NumVertices(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				intra, inter := avgSimilarities(m, truth)
+				t.Logf("%s: intra=%.3f inter=%.3f", tc.name, intra, inter)
+				if intra <= inter+0.1 {
+					t.Fatalf("communities not separated: intra %.3f vs inter %.3f", intra, inter)
+				}
+			})
 		})
+	}
+}
+
+// forEachKernelPath runs f as one subtest per kernel path of the
+// update loops: "dispatch" (the f32 kernels, assembly where the CPU
+// has AVX2 and FMA) and "scalar" (the portable reference loops).
+func forEachKernelPath(t *testing.T, f func(t *testing.T, scalar bool)) {
+	t.Helper()
+	for _, scalar := range []bool{false, true} {
+		name := "dispatch"
+		if scalar {
+			name = "scalar"
+		}
+		t.Run(name, func(t *testing.T) { f(t, scalar) })
 	}
 }
 
@@ -204,22 +221,25 @@ func TestSubsampleStillTrains(t *testing.T) {
 
 func TestDeterministicSingleWorker(t *testing.T) {
 	corpus, g, _ := benchCorpus(t, 0.5, 2, 10)
-	cfg := DefaultConfig(8)
-	cfg.Workers = 1
-	cfg.Seed = 33
-	m1, _, err := Train(corpus, g.NumVertices(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := Train(corpus, g.NumVertices(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.Vectors {
-		if m1.Vectors[i] != m2.Vectors[i] {
-			t.Fatal("single-worker training is not deterministic")
+	forEachKernelPath(t, func(t *testing.T, scalar bool) {
+		cfg := DefaultConfig(8)
+		cfg.Workers = 1
+		cfg.Seed = 33
+		cfg.scalarKernels = scalar
+		m1, _, err := Train(corpus, g.NumVertices(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		m2, _, err := Train(corpus, g.NumVertices(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range m1.Vectors {
+			if m1.Vectors[i] != m2.Vectors[i] {
+				t.Fatal("single-worker training is not deterministic")
+			}
+		}
+	})
 }
 
 func TestSigmoid(t *testing.T) {
