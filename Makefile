@@ -14,7 +14,7 @@ HNSW_OUT ?= hnsw-recall.json
 
 # One representative benchmark per pipeline stage plus the full query
 # matrix; keep this pattern in sync with docs/VECTORS.md.
-BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|BenchmarkTrainPipelineShape$$|BenchmarkF32(Dot|Add|Update)$$|BenchmarkSearch|BenchmarkPredictScaling|BenchmarkPredictCosine$$
+BENCH_PATTERN ?= BenchmarkGenerateUniform$$|BenchmarkTrainCBOWNegSampling$$|BenchmarkTrainPipelineShape$$|BenchmarkF32(Dot|SqDist|Add|Update)$$|BenchmarkBuildHNSW$$|BenchmarkSearch|BenchmarkPredictScaling|BenchmarkPredictCosine$$
 BENCH_PKGS    ?= ./internal/walk ./internal/word2vec ./internal/f32 ./internal/vecstore ./internal/knn
 
 .PHONY: build test race vet purego bench bench-short serve-smoke router-smoke crash-smoke crash-smoke-short \
@@ -32,12 +32,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The portable side of the float32 training kernels: the purego tag
-# swaps the AVX2/FMA assembly for the scalar loops (the seed's
-# training numerics), and the arm64 cross build proves every
-# non-amd64 target still compiles.
+# The portable side of the float32 kernels: the purego tag swaps the
+# AVX2/FMA assembly for the scalar loops (the seed's training
+# numerics, and HNSW routing on the scalar kernels), and the arm64
+# cross build proves every non-amd64 target still compiles.
 purego:
-	$(GO) test -tags purego ./internal/f32/ ./internal/word2vec/
+	$(GO) test -tags purego ./internal/f32/ ./internal/word2vec/ ./internal/vecstore/
 	GOARCH=arm64 $(GO) build ./...
 
 race:

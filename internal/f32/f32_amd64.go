@@ -12,6 +12,9 @@ const asmBuilt = true
 func dotAsm(a, b []float32) float32
 
 //go:noescape
+func sqDistAsm(a, b []float32) float32
+
+//go:noescape
 func addAsm(dst, src []float32)
 
 //go:noescape

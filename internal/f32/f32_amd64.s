@@ -66,6 +66,76 @@ dotdone:
 	MOVSS X0, ret+48(FP)
 	RET
 
+// func sqDistAsm(a, b []float32) float32
+//
+// The shape of dotAsm with a VSUBPS before each FMA: the differences
+// are squared into two 8-lane accumulators over 16 floats a step, one
+// more 8-lane step, a fold to 4 lanes, one 4-lane step, a horizontal
+// sum, then a scalar tail.
+TEXT ·sqDistAsm(SB), NOSPLIT, $0-52
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), DI
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+
+sq16:
+	CMPQ        CX, $16
+	JL          sq8
+	VMOVUPS     (SI), Y2
+	VMOVUPS     32(SI), Y3
+	VSUBPS      (DI), Y2, Y2
+	VSUBPS      32(DI), Y3, Y3
+	VFMADD231PS Y2, Y2, Y0
+	VFMADD231PS Y3, Y3, Y1
+	ADDQ        $64, SI
+	ADDQ        $64, DI
+	SUBQ        $16, CX
+	JMP         sq16
+
+sq8:
+	CMPQ        CX, $8
+	JL          sqfold
+	VMOVUPS     (SI), Y2
+	VSUBPS      (DI), Y2, Y2
+	VFMADD231PS Y2, Y2, Y0
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $8, CX
+
+sqfold:
+	VADDPS       Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0
+	CMPQ         CX, $4
+	JL           sqsum
+	VMOVUPS      (SI), X2
+	VSUBPS       (DI), X2, X2
+	VFMADD231PS  X2, X2, X0
+	ADDQ         $16, SI
+	ADDQ         $16, DI
+	SUBQ         $4, CX
+
+sqsum:
+	VHADDPS X0, X0, X0
+	VHADDPS X0, X0, X0
+
+sq1:
+	TESTQ       CX, CX
+	JE          sqdone
+	VMOVSS      (SI), X2
+	VSUBSS      (DI), X2, X2
+	VFMADD231SS X2, X2, X0
+	ADDQ        $4, SI
+	ADDQ        $4, DI
+	DECQ        CX
+	JMP         sq1
+
+sqdone:
+	VZEROUPPER
+	MOVSS X0, ret+48(FP)
+	RET
+
 // func addAsm(dst, src []float32)
 TEXT ·addAsm(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI

@@ -9,5 +9,6 @@ const useAsm = false
 const asmBuilt = false
 
 func dotAsm(a, b []float32) float32                  { panic("f32: no assembly kernels in this build") }
+func sqDistAsm(a, b []float32) float32               { panic("f32: no assembly kernels in this build") }
 func addAsm(dst, src []float32)                      { panic("f32: no assembly kernels in this build") }
 func updateAsm(acc, out, h []float32, scale float32) { panic("f32: no assembly kernels in this build") }

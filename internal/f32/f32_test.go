@@ -52,8 +52,8 @@ func requireAsm(t *testing.T) {
 // TestAsmMatchesScalar compares the assembly kernels with the scalar
 // references for every length 0..40 and the training dimensions, on
 // sub-slices starting 0..7 floats past an allocation so unaligned
-// loads and stores are covered. Add is exact; Dot and Update may
-// differ in the last bits (FMA, lane order).
+// loads and stores are covered. Add is exact; Dot, SqDist and Update
+// may differ in the last bits (FMA, lane order).
 func TestAsmMatchesScalar(t *testing.T) {
 	requireAsm(t)
 	rng := xrand.New(1)
@@ -70,6 +70,16 @@ func TestAsmMatchesScalar(t *testing.T) {
 			}
 			if got, want := Dot(a, b), dotAsm(a, b); got != want {
 				t.Fatalf("Dot n=%d off=%d: dispatch %v, asm %v", n, off, got, want)
+			}
+
+			// Every term of a squared distance is non-negative, so the
+			// sum itself is the scale of the rounding error.
+			sq := SqDistScalar(a, b)
+			if got := sqDistAsm(a, b); !close32(got, sq, sq) {
+				t.Fatalf("SqDist n=%d off=%d: asm %v, scalar %v", n, off, got, sq)
+			}
+			if got, want := SqDist(a, b), sqDistAsm(a, b); got != want {
+				t.Fatalf("SqDist n=%d off=%d: dispatch %v, asm %v", n, off, got, want)
 			}
 
 			dst1 := slices.Clone(a)
@@ -172,6 +182,7 @@ func TestAsmSelectedOnAVX2FMA(t *testing.T) {
 func TestLengthMismatchPanics(t *testing.T) {
 	for name, call := range map[string]func(){
 		"Dot":    func() { Dot(make([]float32, 3), make([]float32, 4)) },
+		"SqDist": func() { SqDist(make([]float32, 4), make([]float32, 3)) },
 		"Add":    func() { Add(make([]float32, 3), make([]float32, 2)) },
 		"Update": func() { Update(make([]float32, 3), make([]float32, 3), make([]float32, 2), 1) },
 	} {
@@ -216,6 +227,20 @@ func BenchmarkF32Dot(b *testing.B) {
 		}
 		for b.Loop() {
 			sinkF32 += dot(x, y)
+		}
+	})
+}
+
+func BenchmarkF32SqDist(b *testing.B) {
+	benchPaths(b, func(b *testing.B, dim int, scalar bool) {
+		rng := xrand.New(5)
+		x, y := randVec(rng, dim), randVec(rng, dim)
+		sqDist := SqDist
+		if scalar {
+			sqDist = SqDistScalar
+		}
+		for b.Loop() {
+			sinkF32 += sqDist(x, y)
 		}
 	})
 }

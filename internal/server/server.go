@@ -327,6 +327,7 @@ type Server struct {
 	compactions atomic.Uint64
 	compacting  atomic.Bool  // single-flight guard: one rebuild/checkpoint at a time
 	compactWait atomic.Int64 // unixnano cooldown after an abandoned/failed rebuild
+	compactor   compactorState
 	started     time.Time
 	mux         *http.ServeMux
 	counters    map[string]*endpointCounters
@@ -462,6 +463,7 @@ func newShell(cfg Config) *Server {
 		build:    telemetry.BuildInfo(),
 	}
 	s.tracePool.New = func() any { return new(telemetry.Trace) }
+	s.compactor.minCooldown = time.Second
 	if s.logger == nil {
 		s.logger = log.New(io.Discard, "", 0)
 	}
@@ -1936,6 +1938,7 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) error {
 	}
 	t = time.Now()
 	if err := s.walWaitDurableCtx(r.Context(), lsn); err != nil {
+		s.runPostWrite(st, pw) // applied, if not acknowledged: the planned work still runs
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
@@ -2005,6 +2008,7 @@ func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) error
 	}
 	t = time.Now()
 	if err := s.walWaitDurableCtx(r.Context(), lsn); err != nil {
+		s.runPostWrite(st, pw) // applied, if not acknowledged: the planned work still runs
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
@@ -2079,6 +2083,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	}
 	t = time.Now()
 	if err := s.walWaitDurableCtx(r.Context(), lsn); err != nil {
+		s.runPostWrite(st, pw) // applied, if not acknowledged: the planned work still runs
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
@@ -2157,6 +2162,7 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) error
 	}
 	t = time.Now()
 	if err := s.walWaitDurableCtx(r.Context(), lsn); err != nil {
+		s.runPostWrite(st, pw) // applied, if not acknowledged: the planned work still runs
 		return err
 	}
 	t = spanSince(tr, "wal_fsync", t)
@@ -2194,7 +2200,9 @@ type compactSnapshot struct {
 // goroutine, so neither the triggering request nor any reader is
 // parked behind it. A single-flight guard keeps concurrent writes
 // from each paying their own gather + rebuild while one is already
-// in flight.
+// in flight. When the threshold is crossed but a rebuild cannot start
+// now (cooling down, or the guard is held), a re-plan is armed, so
+// the crossing is acted on even if no further write arrives.
 func (s *Server) planCompaction(st *modelState) *compactSnapshot {
 	if st.store == nil {
 		// The shard backend compacts on its own side of the boundary:
@@ -2215,15 +2223,20 @@ func (s *Server) planCompaction(st *modelState) *compactSnapshot {
 	if st.store.Live() == 0 || st.store.DeadFraction() < frac {
 		return nil
 	}
-	if time.Now().UnixNano() < s.compactWait.Load() {
+	if wait := time.Until(time.Unix(0, s.compactWait.Load())); wait > 0 {
 		// Cooling down after an abandoned or failed rebuild: without
 		// this, a sustained write stream would re-pay the gather and a
 		// doomed rebuild on every threshold-crossing write.
+		s.armReplan(wait)
 		return nil
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
-		return nil // a rebuild is already in flight
+		// A rebuild (which this write makes stale) or a checkpoint is
+		// in flight.
+		s.armReplan(s.compactor.minCooldown)
+		return nil
 	}
+	s.compactor.hold()
 	liveIDs := st.store.LiveIDs()
 	snap := &compactSnapshot{
 		src:     st.store,
@@ -2247,13 +2260,16 @@ func (s *Server) planCompaction(st *modelState) *compactSnapshot {
 // (a write bumped st's epoch, or a reload or another compaction
 // replaced the generation), in which case the stale snapshot is
 // dropped: publishing it would silently discard those writes. The
-// tombstoned generation stays correct either way, and the
-// still-crossed threshold re-triggers on a later write — under a
-// sustained write stream compaction keeps being deferred and
-// completes in the next quiet moment, one attempt at a time (the
-// single-flight guard). Returns whether a compacted generation was
-// published.
+// tombstoned generation stays correct either way, and an abandoned
+// rebuild arms a re-plan against the then-current generation once
+// its cooldown passes — under a sustained write stream compaction
+// keeps being deferred and completes in the next quiet moment, one
+// attempt at a time (the single-flight guard), and a server that goes
+// quiet still converges. A rebuild that fails is retried only by a
+// later threshold-crossing write: nothing changes the outcome until
+// then. Returns whether a compacted generation was published.
 func (s *Server) finishCompaction(st *modelState, snap *compactSnapshot) bool {
+	defer s.compactor.release()
 	defer s.compacting.Store(false)
 	buildStart := time.Now()
 	// The row copy runs under the reader lock: existing rows are
@@ -2273,8 +2289,8 @@ func (s *Server) finishCompaction(st *modelState, snap *compactSnapshot) bool {
 	// Cooldown before any retry, scaled to the rebuild cost: a wasted
 	// 73s HNSW rebuild must not repeat every write-interval.
 	cooldown := 4 * buildDur
-	if cooldown < time.Second {
-		cooldown = time.Second
+	if cooldown < s.compactor.minCooldown {
+		cooldown = s.compactor.minCooldown
 	}
 	if err != nil {
 		// Keep serving the tombstoned generation; it is correct, just
@@ -2290,6 +2306,9 @@ func (s *Server) finishCompaction(st *modelState, snap *compactSnapshot) bool {
 		s.writeCheckpoint(&word2vec.Model{Dim: newStore.Dim(), Vocab: newStore.Len(), Vectors: newStore.Data()},
 			snap.tokens, snap.lsn, false, "compaction")
 	}
+	if hook := s.compactor.rebuilt; hook != nil {
+		hook()
+	}
 	// Staleness must be checked inside the swapMu critical section
 	// (lock order: swapMu, then st.mu, matching swapModel): checking
 	// outside it would let a reload publish between the check and the
@@ -2301,7 +2320,8 @@ func (s *Server) finishCompaction(st *modelState, snap *compactSnapshot) bool {
 		st.mu.Unlock()
 		s.swapMu.Unlock()
 		s.compactWait.Store(time.Now().Add(cooldown).UnixNano())
-		s.logger.Printf("server: compaction abandoned: writes or a reload landed during the rebuild (retrying after %v)", cooldown)
+		s.armReplan(cooldown)
+		s.logger.Printf("server: compaction abandoned: writes or a reload landed during the rebuild (re-planning after %v)", cooldown)
 		return false
 	}
 	gen := s.gen.Add(1)
@@ -2324,6 +2344,124 @@ func (s *Server) finishCompaction(st *modelState, snap *compactSnapshot) bool {
 	s.logger.Printf("server: generation %d live after compaction: %d rows (%d tombstones dropped)",
 		gen, rows, dropped)
 	return true
+}
+
+// compactorState is the server-level compactor's background work:
+// planned rebuilds that have not finished and the armed re-plan.
+// Close stops re-planning; WaitCompactions waits for the work to
+// drain.
+type compactorState struct {
+	mu sync.Mutex
+	// busy counts planned rebuilds not yet finished plus an armed
+	// re-plan; idle is closed when it drops to zero (nil while zero).
+	busy int
+	idle chan struct{}
+	// timer is the armed re-plan, nil when none is armed.
+	timer  *time.Timer
+	closed bool
+	// minCooldown floors the wait before a retry after an abandoned
+	// or failed rebuild.
+	minCooldown time.Duration
+	// rebuilt, when set, runs in finishCompaction between the rebuild
+	// and the staleness check (a test seam for racing a write in).
+	rebuilt func()
+}
+
+// hold and release bracket one unit of compactor work; the *Locked
+// forms expect mu held.
+func (c *compactorState) hold() {
+	c.mu.Lock()
+	c.holdLocked()
+	c.mu.Unlock()
+}
+
+func (c *compactorState) release() {
+	c.mu.Lock()
+	c.releaseLocked()
+	c.mu.Unlock()
+}
+
+func (c *compactorState) holdLocked() {
+	if c.busy == 0 {
+		c.idle = make(chan struct{})
+	}
+	c.busy++
+}
+
+func (c *compactorState) releaseLocked() {
+	c.busy--
+	if c.busy == 0 {
+		close(c.idle)
+		c.idle = nil
+	}
+}
+
+// armReplan schedules replanCompaction after d unless a re-plan is
+// already armed or the server is closed. The armed timer counts as
+// compactor work, and a rebuild arms before it releases its own hold,
+// so WaitCompactions never sees a gap between the two.
+func (s *Server) armReplan(d time.Duration) {
+	c := &s.compactor
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.timer != nil {
+		return
+	}
+	c.holdLocked()
+	c.timer = time.AfterFunc(d, s.replanCompaction)
+}
+
+// replanCompaction is the armed re-plan: it plans a compaction of the
+// current generation (which arms again if the rebuild still cannot
+// start) and runs it to completion.
+func (s *Server) replanCompaction() {
+	c := &s.compactor
+	defer c.release()
+	c.mu.Lock()
+	c.timer = nil
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return
+	}
+	st := s.state.Load()
+	st.mu.Lock()
+	snap := s.planCompaction(st)
+	st.mu.Unlock()
+	if snap != nil {
+		s.finishCompaction(st, snap)
+	}
+}
+
+// WaitCompactions blocks until the server-level compactor is idle: no
+// planned or running rebuild and no armed re-plan. With no concurrent
+// writes the current generation is then below the compaction
+// threshold, unless its last rebuild failed.
+func (s *Server) WaitCompactions() {
+	c := &s.compactor
+	for {
+		c.mu.Lock()
+		idle := c.idle
+		c.mu.Unlock()
+		if idle == nil {
+			return
+		}
+		<-idle
+	}
+}
+
+// stopCompactor disarms any pending re-plan and keeps new ones from
+// being armed, then waits for running rebuilds to finish.
+func (s *Server) stopCompactor() {
+	c := &s.compactor
+	c.mu.Lock()
+	c.closed = true
+	if c.timer != nil && c.timer.Stop() {
+		c.timer = nil
+		c.releaseLocked()
+	}
+	c.mu.Unlock()
+	s.WaitCompactions()
 }
 
 // cacheKey builds a (generation, write-epoch)-scoped cache key: a hot

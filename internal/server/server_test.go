@@ -814,7 +814,13 @@ func TestUpsertTriggersCompaction(t *testing.T) {
 			t.Fatalf("upsert %s status %d", tok, code)
 		}
 	}
-	waitFor(t, "upsert-triggered compaction", func() bool { return s.Generation() >= 2 })
+	// The crossing upsert planned the rebuild before it answered; a
+	// write racing it abandons it and arms a re-plan, so waiting for
+	// the compactor to go idle is enough.
+	s.WaitCompactions()
+	if g := s.Generation(); g < 2 {
+		t.Fatalf("generation %d after the compactor went idle, want >= 2", g)
+	}
 	var stats StatsResponse
 	getJSON(t, hs.URL+"/stats", &stats)
 	if stats.Writes.Compactions == 0 {
@@ -876,6 +882,8 @@ func TestCompactionAbandonedWhenStale(t *testing.T) {
 	// Background compaction is disabled so the test fully controls the
 	// plan/finish sequence; the threshold is set just before planning.
 	s, hs := newTestServer(t, Config{CompactFraction: -1}, 30, 4)
+	// Keep the compactor's own re-plan out of the test's window.
+	s.compactor.minCooldown = time.Hour
 	for i := 0; i < 8; i++ {
 		if code := postJSON(t, hs.URL+"/v1/delete", DeleteRequest{Vertex: fmt.Sprintf("v%d", i)}, nil); code != 200 {
 			t.Fatalf("delete v%d status %d", i, code)
@@ -948,6 +956,61 @@ func TestCompactionAbandonedWhenStale(t *testing.T) {
 	}
 	if code := getJSON(t, hs.URL+"/v1/neighbors?vertex=v0&k=1", nil); code != 404 {
 		t.Fatalf("deleted vertex resolvable after compaction: status %d", code)
+	}
+	// The late write armed an hour-long re-plan; Close disarms it
+	// instead of waiting it out.
+	s.Close()
+}
+
+// TestCompactionConvergesAfterAbandon: a write that races a rebuild
+// makes it abandon, and no write follows. The compactor must re-plan
+// against the current generation on its own once the cooldown passes
+// and reclaim every tombstone, the racing write included.
+func TestCompactionConvergesAfterAbandon(t *testing.T) {
+	s, hs := newTestServer(t, Config{CompactFraction: 0.2}, 20, 4)
+	defer s.Close()
+	s.compactor.minCooldown = time.Millisecond
+	var raced atomic.Int32 // 0 not yet, then the racing upsert's status
+	body, err := json.Marshal(UpsertRequest{Vertex: "v0", Vector: vec(4, -1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.compactor.rebuilt = func() {
+		if !raced.CompareAndSwap(0, -1) {
+			return // only the first rebuild is raced
+		}
+		resp, err := http.Post(hs.URL+"/v1/upsert", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		resp.Body.Close()
+		raced.Store(int32(resp.StatusCode))
+	}
+	// Five replace-upserts: the fifth tombstone reaches 5/25 = 0.2 and
+	// plans the rebuild the hook races.
+	for i := 0; i < 5; i++ {
+		if code := postJSON(t, hs.URL+"/v1/upsert", UpsertRequest{Vertex: fmt.Sprintf("v%d", i), Vector: vec(4, float32(i+1))}, nil); code != 200 {
+			t.Fatalf("upsert v%d status %d", i, code)
+		}
+	}
+	s.WaitCompactions()
+	if code := raced.Load(); code != 200 {
+		t.Fatalf("racing upsert status %d, want 200", code)
+	}
+	var stats StatsResponse
+	getJSON(t, hs.URL+"/stats", &stats)
+	if stats.Writes.Tombstones != 0 || stats.Writes.Compactions != 1 || stats.Model.Vectors != 20 {
+		t.Fatalf("after an abandoned rebuild and no further writes: %+v / %+v, want 0 tombstones, 1 compaction, 20 rows",
+			stats.Writes, stats.Model)
+	}
+	if g := s.Generation(); g != 2 {
+		t.Fatalf("generation %d, want 2 (one published compaction)", g)
+	}
+	// The racing write survived the compaction.
+	var sim SimilarityResponse
+	getJSON(t, hs.URL+"/v1/similarity?a=v0&b=v1", &sim)
+	if sim.Similarity != -1 {
+		t.Fatalf("racing upsert lost: similarity(v0, v1) = %v, want -1", sim.Similarity)
 	}
 }
 

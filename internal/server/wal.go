@@ -434,12 +434,14 @@ func (s *Server) walStats() WALStats {
 	}
 }
 
-// Close releases the server's durable resources (the write-ahead
-// log) and its shard backend (health-probe goroutines, idle remote
-// connections in router mode). Serve calls it on shutdown; embedders
-// that never call Serve (tests, in-process harnesses) should close
-// explicitly. Idempotent.
+// Close stops the server-level compactor (it arms no further re-plan
+// and waits for a running rebuild) and releases the server's durable
+// resources (the write-ahead log) and its shard backend (health-probe
+// goroutines, idle remote connections in router mode). Serve calls it
+// on shutdown; embedders that never call Serve (tests, in-process
+// harnesses) should close explicitly. Idempotent.
 func (s *Server) Close() error {
+	s.stopCompactor()
 	if st := s.state.Load(); st != nil && st.backend != nil {
 		st.backend.Close()
 	}

@@ -202,6 +202,31 @@ func BenchmarkSearchHNSWBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
 }
 
+// BenchmarkBuildHNSW is the index-build layer of the serve-read
+// benchmark: a cosine graph at defaults over a 10k x 64 clustered
+// store (2k rows under -short), routed on the dispatching f32 kernels
+// and on their scalar references.
+func BenchmarkBuildHNSW(b *testing.B) {
+	n := 10_000
+	if testing.Short() {
+		n = 2_000
+	}
+	s := clusteredStore(n, 64, 100, 101)
+	for _, scalar := range []bool{false, true} {
+		path := "dispatch"
+		if scalar {
+			path = "scalar"
+		}
+		b.Run(path, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := NewHNSW(s, Cosine, HNSWConfig{Seed: 7, scalarKernels: scalar}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSearchIVF is the approximate path at nprobe defaults.
 func BenchmarkSearchIVF(b *testing.B) {
 	s, qs := queryBenchSetup(b)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"v2v/internal/f32"
 	"v2v/internal/xrand"
 )
 
@@ -23,10 +24,17 @@ type HNSWConfig struct {
 	EfSearch int
 	// Seed drives level sampling. Builds are deterministic for a fixed
 	// seed regardless of Workers: insertion is sequential in row order
-	// and Workers only parallelizes SearchBatch.
+	// and Workers only parallelizes SearchBatch. The graph also depends
+	// on the float32 kernel path the routing distances run on (AVX2/FMA
+	// assembly or the scalar loops, see internal/f32), so a fixed seed
+	// reproduces a graph on machines that select the same path.
 	Seed uint64
 	// Workers bounds batch-query parallelism (0 = GOMAXPROCS).
 	Workers int
+
+	// scalarKernels pins the routing distances to the portable scalar
+	// loops, so tests can cover both kernel paths on one machine.
+	scalarKernels bool
 }
 
 // HNSW defaults.
@@ -54,8 +62,16 @@ type hnswNode struct {
 // stay linear in rows and cells respectively — at the price of
 // approximate results and an O(n log n) build.
 //
-// Build is sequential and deterministic for a fixed seed; queries are
-// safe for arbitrary concurrency once NewHNSW returns.
+// Graph routing (build, descent and the beam) compares float32
+// distances from the internal/f32 kernels; a query rescores the 2k
+// closest candidates with the exact float64 kernels and returns the
+// best k, so every reported score equals the one Exact gives for that
+// row.
+//
+// Build is sequential and deterministic for a fixed seed on one
+// kernel path; queries are safe for arbitrary concurrency once
+// NewHNSW returns. A graph is valid input to either path: a bundle
+// built on one binds and serves on the other.
 //
 // HNSW implements MutableIndex: Insert reuses the build-time level
 // sampling (continuing the build's deterministic RNG stream) and
@@ -76,6 +92,7 @@ type HNSW struct {
 	entry    int32
 	maxLevel int
 	nodes    []hnswNode
+	scalar   bool // route on the scalar kernels (HNSWConfig.scalarKernels)
 
 	// mu guards graph and store mutation against concurrent queries;
 	// rng/mL continue the build's level-sampling stream for
@@ -91,7 +108,8 @@ type HNSW struct {
 // NewHNSW builds the layered graph by sequential insertion in row
 // order. Level sampling consumes one deterministic RNG stream per row,
 // so the graph depends only on (store contents, metric, cfg.M,
-// cfg.EfConstruction, cfg.Seed).
+// cfg.EfConstruction, cfg.Seed) and the float32 kernel path the CPU
+// selects: two builds on the same path give the same graph.
 func NewHNSW(s *Store, metric Metric, cfg HNSWConfig) (*HNSW, error) {
 	m := cfg.M
 	if m <= 0 {
@@ -122,6 +140,7 @@ func NewHNSW(s *Store, metric Metric, cfg HNSWConfig) (*HNSW, error) {
 		seed:    cfg.Seed,
 		entry:   -1,
 		nodes:   make([]hnswNode, s.Len()),
+		scalar:  cfg.scalarKernels,
 	}
 	s.SqNorms() // precompute so build and concurrent queries never race the cache
 
@@ -198,15 +217,42 @@ func (h *HNSW) sampleLevel(rng *xrand.RNG, mL float64) int {
 	return l
 }
 
-// dist converts the metric's "higher is better" score into the
-// "smaller is closer" distance the graph routines minimize.
+// dist is the routing distance from query q (squared norm qn) to row
+// i, smaller is closer: the negated cosine or inner product, or the
+// squared Euclidean distance, computed on the float32 kernels. It
+// orders rows like the exact scores up to float32 rounding; search
+// rescores what it returns with scoreRow.
 func (h *HNSW) dist(q []float32, qn float64, i int32) float64 {
-	return -scoreRow(h.s, h.metric, q, qn, int(i))
+	r := h.s.Row(int(i))
+	switch h.metric {
+	case Euclidean:
+		return h.sqDist(q, r)
+	case Cosine:
+		return -cosineFromDot(h.dot(q, r), qn, h.s.SqNorms()[i])
+	default:
+		return -h.dot(q, r)
+	}
+}
+
+// dot and sqDist run the f32 kernels, or their scalar references when
+// the index was built with HNSWConfig.scalarKernels.
+func (h *HNSW) dot(a, b []float32) float64 {
+	if h.scalar {
+		return float64(f32.DotScalar(a, b))
+	}
+	return float64(f32.Dot(a, b))
+}
+
+func (h *HNSW) sqDist(a, b []float32) float64 {
+	if h.scalar {
+		return float64(f32.SqDistScalar(a, b))
+	}
+	return float64(f32.SqDist(a, b))
 }
 
 // distRows is dist with stored row a as the query.
 func (h *HNSW) distRows(a, b int32) float64 {
-	return -scoreRow(h.s, h.metric, h.s.Row(int(a)), h.s.SqNorms()[a], int(b))
+	return h.dist(h.s.Row(int(a)), h.s.SqNorms()[a], b)
 }
 
 // insert links row i into the graph at levels [0, level].
@@ -395,12 +441,12 @@ func (h *HNSW) searchLayer(q []float32, qn float64, eps []int32, level, ef int, 
 				continue
 			}
 			d := h.dist(q, qn, e)
-			if len(sc.res.h) < ef || d < sc.res.h[0].dist {
+			if len(sc.res.h) < ef {
 				sc.cand.push(hcand{e, d})
 				sc.res.push(hcand{e, d})
-				if len(sc.res.h) > ef {
-					sc.res.pop()
-				}
+			} else if d < sc.res.h[0].dist {
+				sc.cand.push(hcand{e, d})
+				sc.res.replaceTop(hcand{e, d})
 			}
 		}
 	}
@@ -538,16 +584,23 @@ func (h *HNSW) search(q []float32, k, exclude int, dst []Result, sc *hnswScratch
 	}
 	sc.eps = append(sc.eps[:0], ep)
 	h.searchLayer(q, qn, sc.eps, 0, ef, sc)
+	// The beam ranked candidates by float32 routing distance. Rescore
+	// the 2k closest eligible ones with the exact kernels and keep the
+	// best k: reported scores are exact, and a float32 near-tie at the
+	// k-th place cannot push out a row whose exact score is higher.
 	cands := sc.extractAsc()
 	del := h.s.deleted
 	start := len(dst)
 	for _, c := range cands {
-		if int(c.id) == exclude || (del != nil && del[c.id]) || len(dst)-start == k {
+		if int(c.id) == exclude || (del != nil && del[c.id]) || len(dst)-start == 2*k {
 			continue
 		}
-		dst = append(dst, Result{ID: int(c.id), Score: -c.dist})
+		dst = append(dst, Result{ID: int(c.id), Score: scoreRow(h.s, h.metric, q, qn, int(c.id))})
 	}
 	sortResults(dst[start:])
+	if len(dst)-start > k {
+		dst = dst[:start+k]
+	}
 	return dst
 }
 
@@ -567,7 +620,8 @@ func (h *HNSW) SearchBatch(qs [][]float32, k int) [][]Result {
 	}
 	parallelRange(len(qs), h.workers, func(lo, hi int) {
 		sc := h.getScratch()
-		buf := make([]Result, 0, (hi-lo)*k)
+		// search rescores up to 2k candidates before it keeps k.
+		buf := make([]Result, 0, (hi-lo+1)*k)
 		for i := lo; i < hi; i++ {
 			start := len(buf)
 			buf = h.search(qs[i], k, -1, buf, sc)
@@ -755,6 +809,21 @@ func (q *resultHeap) pop() hcand {
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
 	q.h = q.h[:last]
+	q.down()
+	return top
+}
+
+// replaceTop evicts the farthest result in favor of c, which must be
+// closer: the retained set equals a push followed by a pop, with one
+// sift instead of two.
+func (q *resultHeap) replaceTop(c hcand) {
+	q.h[0] = c
+	q.down()
+}
+
+// down restores the heap order below the root.
+func (q *resultHeap) down() {
+	last := len(q.h)
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -766,7 +835,7 @@ func (q *resultHeap) pop() hcand {
 			worst = r
 		}
 		if worst == i {
-			return top
+			return
 		}
 		q.h[i], q.h[worst] = q.h[worst], q.h[i]
 		i = worst

@@ -1,6 +1,7 @@
 package vecstore
 
 import (
+	"reflect"
 	"testing"
 
 	"v2v/internal/xrand"
@@ -118,26 +119,6 @@ func TestHNSWSearchRowExcludesSelf(t *testing.T) {
 		for _, r := range res {
 			if r.ID == row {
 				t.Fatalf("row %d returned itself", row)
-			}
-		}
-	}
-}
-
-func TestHNSWScoresMatchExactForReturnedIDs(t *testing.T) {
-	// Whatever rows HNSW returns, their scores must be the exact
-	// metric scores (same kernels, same float64 accumulation).
-	s := randStore(800, 12, 103)
-	for _, metric := range []Metric{Cosine, Dot, Euclidean} {
-		h, err := NewHNSW(s, metric, HNSWConfig{Seed: 11, M: 8, EfConstruction: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := s.Row(17)
-		qn := queryNorm(metric, q)
-		for _, r := range h.Search(q, 10) {
-			want := scoreRow(s, metric, q, qn, r.ID)
-			if r.Score != want {
-				t.Fatalf("%v: row %d score %v, want %v", metric, r.ID, r.Score, want)
 			}
 		}
 	}
@@ -323,6 +304,207 @@ func TestConfigValidate(t *testing.T) {
 			}
 		} else if openErr != nil {
 			t.Errorf("%s: Open rejected a valid config: %v", tc.name, openErr)
+		}
+	}
+}
+
+// hnswPaths are the two float32 kernel paths graph routing runs on:
+// the dispatching kernels (AVX2/FMA assembly where the CPU has it)
+// and their scalar references.
+var hnswPaths = []struct {
+	name   string
+	scalar bool
+}{{"dispatch", false}, {"scalar", true}}
+
+var hnswMetrics = []Metric{Cosine, Dot, Euclidean}
+
+// requireExactScores fails unless res is sorted best first and every
+// result carries the exact score of its row: scoreRow over s, bit for
+// bit, whatever float32 distance routed the search to it.
+func requireExactScores(t *testing.T, what string, s *Store, metric Metric, q []float32, res []Result) {
+	t.Helper()
+	qn := queryNorm(metric, q)
+	for i, r := range res {
+		if want := scoreRow(s, metric, q, qn, r.ID); r.Score != want {
+			t.Fatalf("%s: rank %d row %d score %v, want exact %v", what, i, r.ID, r.Score, want)
+		}
+		if i > 0 && better(r, res[i-1]) {
+			t.Fatalf("%s: rank %d %+v sorts before rank %d %+v", what, i, r, i-1, res[i-1])
+		}
+	}
+}
+
+// hnswQueries returns stored rows and perturbed copies of them.
+func hnswQueries(s *Store, n int, seed uint64) ([][]float32, []int) {
+	rng := xrand.New(seed)
+	qs := make([][]float32, 0, 2*n)
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = rng.Intn(s.Len())
+		q := append([]float32(nil), s.Row(rows[i])...)
+		qs = append(qs, s.Row(rows[i]))
+		for j := range q {
+			q[j] += float32(rng.NormFloat64() * 0.3)
+		}
+		qs = append(qs, q)
+	}
+	return qs, rows
+}
+
+// checkHNSWScores runs every query entry point of idx and requires
+// exact scores and no tombstoned row in the results.
+func checkHNSWScores(t *testing.T, s *Store, idx Index, seed uint64) {
+	t.Helper()
+	metric := idx.Metric()
+	qs, rows := hnswQueries(s, 8, seed)
+	noDead := func(what string, res []Result) {
+		t.Helper()
+		for _, r := range res {
+			if s.Deleted(r.ID) {
+				t.Fatalf("%s: tombstoned row %d returned", what, r.ID)
+			}
+		}
+	}
+	for _, q := range qs {
+		res := idx.Search(q, 10)
+		requireExactScores(t, "Search", s, metric, q, res)
+		noDead("Search", res)
+	}
+	for _, row := range rows {
+		if s.Deleted(row) {
+			continue
+		}
+		res := idx.SearchRow(row, 10)
+		requireExactScores(t, "SearchRow", s, metric, s.Row(row), res)
+		noDead("SearchRow", res)
+	}
+	for i, res := range idx.SearchBatch(qs, 10) {
+		requireExactScores(t, "SearchBatch", s, metric, qs[i], res)
+		noDead("SearchBatch", res)
+	}
+}
+
+// TestHNSWScoresMatchExactForReturnedIDs: whatever rows HNSW returns,
+// their scores are the exact float64 metric scores, although routing
+// runs on float32 kernels — on either kernel path, for every metric
+// and query entry point, before and after online inserts and deletes.
+func TestHNSWScoresMatchExactForReturnedIDs(t *testing.T) {
+	for _, path := range hnswPaths {
+		for _, metric := range hnswMetrics {
+			t.Run(path.name+"/"+metric.String(), func(t *testing.T) {
+				s := randStore(1200, 16, 151)
+				h, err := NewHNSW(s, metric, HNSWConfig{Seed: 21, M: 8, EfConstruction: 60, scalarKernels: path.scalar})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkHNSWScores(t, s, h, 163)
+
+				rng := xrand.New(167)
+				for i := 0; i < 60; i++ {
+					v := append([]float32(nil), s.Row(rng.Intn(s.Len()))...)
+					for j := range v {
+						v[j] += float32(rng.NormFloat64() * 0.2)
+					}
+					if _, err := h.Insert(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 120; i++ {
+					if id := rng.Intn(s.Len()); !s.Deleted(id) {
+						if err := h.Delete(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				checkHNSWScores(t, s, h, 173)
+			})
+		}
+	}
+}
+
+// TestShardedHNSWExactScores: the per-shard HNSW graphs route on the
+// kernels too, and the coordinator's merged results still carry exact
+// scores.
+func TestShardedHNSWExactScores(t *testing.T) {
+	for _, metric := range hnswMetrics {
+		t.Run(metric.String(), func(t *testing.T) {
+			s := clusteredStore(1200, 16, 12, 179)
+			sh, err := OpenSharded(s, Config{Kind: KindHNSW, Metric: metric, Shards: 3, M: 8, EfConstruction: 60, Seed: 21})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkHNSWScores(t, s, sh, 181)
+		})
+	}
+}
+
+// TestHNSWRecallOnBothPaths holds the recall floor on each kernel
+// path and metric.
+func TestHNSWRecallOnBothPaths(t *testing.T) {
+	s := clusteredStore(3000, 32, 30, 191)
+	for _, path := range hnswPaths {
+		for _, metric := range hnswMetrics {
+			h, err := NewHNSW(s, metric, HNSWConfig{Seed: 23, scalarKernels: path.scalar})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recall := recallVsExact(t, s, h, 10, 100, 193)
+			t.Logf("%s/%v: recall@10 = %.4f", path.name, metric, recall)
+			if recall < 0.95 {
+				t.Errorf("%s/%v: recall@10 = %.4f, want >= 0.95", path.name, metric, recall)
+			}
+		}
+	}
+}
+
+// TestHNSWBuildDeterministicPerPath: on one kernel path, two builds
+// with the same seed produce the same graph.
+func TestHNSWBuildDeterministicPerPath(t *testing.T) {
+	s := clusteredStore(1500, 16, 15, 197)
+	for _, path := range hnswPaths {
+		for _, metric := range hnswMetrics {
+			cfg := HNSWConfig{Seed: 29, M: 8, EfConstruction: 60, scalarKernels: path.scalar}
+			a, err := NewHNSW(s, metric, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewHNSW(s, metric, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a.Graph(), b.Graph()) {
+				t.Errorf("%s/%v: two builds with seed %d differ", path.name, metric, cfg.Seed)
+			}
+		}
+	}
+}
+
+// TestHNSWGraphBindsAcrossKernelPaths: the graph format does not
+// depend on the kernel path, so a graph built on one path binds
+// through HNSWFromGraph and serves on the other with the recall floor
+// and exact scores.
+func TestHNSWGraphBindsAcrossKernelPaths(t *testing.T) {
+	s := clusteredStore(3000, 32, 30, 199)
+	for _, metric := range hnswMetrics {
+		for _, path := range hnswPaths {
+			built, err := NewHNSW(s, metric, HNSWConfig{Seed: 31, scalarKernels: path.scalar})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound, err := HNSWFromGraph(s, built.Graph(), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound.scalar {
+				t.Fatal("HNSWFromGraph bound to the scalar path")
+			}
+			// A rebound index serves on the dispatching kernels; flip a
+			// dispatch-built graph to the scalar path by hand.
+			bound.scalar = !path.scalar
+			if recall := recallVsExact(t, s, bound, 10, 100, 211); recall < 0.95 {
+				t.Errorf("%v built on %s, served on the other path: recall@10 = %.4f, want >= 0.95", metric, path.name, recall)
+			}
+			checkHNSWScores(t, s, bound, 223)
 		}
 	}
 }

@@ -87,7 +87,8 @@ type Config struct {
 	NProbe int
 	// Seed drives index construction randomness (the IVF k-means
 	// quantizer, HNSW level sampling). Builds are deterministic for a
-	// fixed seed regardless of Workers.
+	// fixed seed regardless of Workers (HNSW: per float32 kernel path,
+	// see HNSWConfig.Seed).
 	Seed uint64
 	// KMeansIters bounds quantizer training (0 = 15).
 	KMeansIters int

@@ -1,11 +1,13 @@
 package vecstore
 
-// Blocked similarity kernels. All kernels accumulate in float64 and
-// visit each row's elements in index order, so a blocked scan
-// produces bit-identical scores to the one-row-at-a-time loops the
-// seed used (float64 addition is reordered across rows, never within
-// one). Blocking by four rows amortizes loop overhead and lets one
-// pass over the query serve four streams of consecutive store memory.
+// Blocked similarity kernels, which produce every reported score (HNSW
+// routes on internal/f32 and rescores its results here). All kernels
+// accumulate in float64 and visit each row's elements in index order,
+// so a blocked scan produces bit-identical scores to the
+// one-row-at-a-time loops the seed used (float64 addition is
+// reordered across rows, never within one). Blocking by four rows
+// amortizes loop overhead and lets one pass over the query serve four
+// streams of consecutive store memory.
 
 // dotF64 returns the float64-accumulated inner product of two
 // float32 vectors.

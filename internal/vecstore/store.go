@@ -7,11 +7,15 @@
 // [][]float64 rows.
 //
 // Numeric contract: vectors are stored as float32 (the trainer's
-// native precision) but every kernel accumulates in float64 in row
-// order, exactly like the seed implementations did after their
-// float64 row copies. Exact search is therefore bit-for-bit
-// compatible with the historical brute-force results; only the
-// storage and the selection algorithm changed. See docs/VECTORS.md.
+// native precision) but every score a caller sees is accumulated in
+// float64 in row order, exactly like the seed implementations did
+// after their float64 row copies. Exact search is therefore
+// bit-for-bit compatible with the historical brute-force results;
+// only the storage and the selection algorithm changed. The one
+// float32 computation is HNSW graph routing (build, descent and
+// beam), which runs on the internal/f32 kernels; the results it
+// returns are rescored with the float64 kernels, so an HNSW score is
+// the Exact score of its row. See docs/VECTORS.md.
 //
 // Mutability contract: stores grow through Append/AppendRow and
 // shrink through tombstoning Delete; both are mutation APIs that must
